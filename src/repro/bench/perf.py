@@ -100,12 +100,8 @@ PROFILES: dict[str, PerfProfile] = {
                         episode_scale=3, episode_reps=5),
 }
 
-#: Engine/shard variants measured by the throughput run.
-THROUGHPUT_VARIANTS: tuple[tuple[str, str, int], ...] = (
-    ("reference", "reference", 1),
-    ("bitmask", "bitmask", 1),
-    ("bitmask-8shard", "bitmask", 8),
-)
+#: Conflict engines measured by the throughput run.
+THROUGHPUT_VARIANTS: tuple[str, ...] = ("reference", "bitmask")
 
 
 def get_profile(name: str) -> PerfProfile:
@@ -224,11 +220,9 @@ def bench_pump(profile: PerfProfile) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _throughput_run(engine: str, shards: int,
-                    profile: PerfProfile) -> dict[str, Any]:
+def _throughput_run(engine: str, profile: PerfProfile) -> dict[str, Any]:
     """Windowed ADDSUB stream, driven straight at the facade."""
-    gtm = GlobalTransactionManager(
-        GTMConfig(conflict_engine=engine, lock_shards=shards))
+    gtm = GlobalTransactionManager(GTMConfig(conflict_engine=engine))
     for index in range(profile.throughput_objects):
         gtm.create_object(f"obj{index}", value=1000)
 
@@ -258,7 +252,7 @@ def _throughput_run(engine: str, shards: int,
                 grant_latencies.append(_CLOCK() - t0)
                 if outcome != "granted":
                     raise GTMError(
-                        f"throughput run ({engine}/{shards}): {txn_id} "
+                        f"throughput run ({engine}): {txn_id} "
                         f"unexpectedly {outcome}")
                 gtm.apply(txn_id, f"obj{target}", invocation)
                 operations += 1
@@ -279,7 +273,6 @@ def _throughput_run(engine: str, shards: int,
     }
     return {
         "engine": engine,
-        "lock_shards": shards,
         "transactions": commits,
         "operations": operations,
         "elapsed_s": elapsed,
@@ -294,17 +287,15 @@ def _throughput_run(engine: str, shards: int,
 
 
 def bench_throughput(profile: PerfProfile) -> dict[str, Any]:
-    runs = [_throughput_run(engine, shards, profile)
-            for _, engine, shards in THROUGHPUT_VARIANTS]
+    runs = [_throughput_run(engine, profile)
+            for engine in THROUGHPUT_VARIANTS]
     digests = [run.pop("_digest") for run in runs]
     identical = all(digest == digests[0] for digest in digests[1:])
     if not identical:
         raise GTMError(
             "throughput run: engine variants produced different outcomes")
-    reference = next(r for r in runs if r["engine"] == "reference"
-                     and r["lock_shards"] == 1)
-    bitmask = next(r for r in runs if r["engine"] == "bitmask"
-                   and r["lock_shards"] == 1)
+    reference = next(r for r in runs if r["engine"] == "reference")
+    bitmask = next(r for r in runs if r["engine"] == "bitmask")
     return {
         "variants": runs,
         "outcomes_identical": identical,
@@ -418,7 +409,6 @@ def bench_episodes(profile: PerfProfile, seed: int = 2008) -> dict[str, Any]:
             rows.append({
                 "label": label,
                 "engine": config_overrides["conflict_engine"],
-                "lock_shards": config_overrides.get("lock_shards", 1),
                 "elapsed_s": best_elapsed,
                 "episodes_per_sec": count / max(best_elapsed, 1e-12),
             })
@@ -949,12 +939,12 @@ def render_summary(payload: dict[str, Any]) -> str:
     ]
     for run in throughput["variants"]:
         lines.append(
-            f"throughput [{run['engine']}/{run['lock_shards']} shard]: "
+            f"throughput [{run['engine']}]: "
             f"{run['ops_per_sec']:.0f} ops/s, grant p50 "
             f"{run['grant_latency_p50_us']:.1f}us p99 "
             f"{run['grant_latency_p99_us']:.1f}us")
     lines.append(
-        f"outcomes identical across engines/shards: "
+        f"outcomes identical across engines: "
         f"{throughput['outcomes_identical']}")
     episodes = payload.get("episode_throughput")
     if episodes:

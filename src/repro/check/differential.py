@@ -1,21 +1,20 @@
 """Differential equivalence harness for the conflict-engine optimisation.
 
-The bitmask kernel, the incremental lock-set summaries and the sharded
-lock table are *pure* performance work: every scheduling decision must
-be bit-identical to the reference implementation.  This module proves it
-empirically — the same fuzz episodes the stress harness uses are run
-once per engine variant and the full observable outcome is compared:
+The bitmask kernel and the incremental lock-set summaries are *pure*
+performance work: every scheduling decision must be bit-identical to
+the reference implementation.  This module proves it empirically — the
+same fuzz episodes the stress harness uses are run once per engine
+variant and the full observable outcome is compared:
 
 - the episode trace (:func:`repro.metrics.trace.episode_trace`): final
   values, scheduler counters and every transaction timeline;
 - the permanent state of every managed object (values + existence);
 - the episode invariants, including the lock-set-summary drift check.
 
-Three GTM variants run per episode: the pairwise reference engine, the
-bitmask engine on the flat lock table, and the bitmask engine on an
-8-shard table.  For the 2PL/optimistic baselines (which have no engine
-switch) the harness degrades to a run-twice determinism check, keeping
-the campaign interface uniform.
+Two GTM variants run per episode: the pairwise reference engine (the
+oracle) and the bitmask engine.  For the 2PL/optimistic baselines
+(which have no engine switch) the harness degrades to a run-twice
+determinism check, keeping the campaign interface uniform.
 
 A second axis (``mode="backend"``) compares *LDBS backends* instead of
 conflict engines: each GTM episode runs once with SSTs bound to the
@@ -64,12 +63,8 @@ from repro.schedulers.gtm_scheduler import GTMScheduler, GTMSchedulerConfig
 
 #: (label, GTMConfig overrides) for each GTM variant under comparison.
 GTM_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("reference", {"conflict_engine": "reference", "lock_shards": 1}),
-    ("bitmask", {"conflict_engine": "bitmask", "lock_shards": 1}),
-    ("bitmask-8shard", {"conflict_engine": "bitmask", "lock_shards": 8}),
-    # the numpy kernel; degrades to bitmask when numpy is absent, in
-    # which case this row still proves run-to-run determinism.
-    ("vector", {"conflict_engine": "vector", "lock_shards": 1}),
+    ("reference", {"conflict_engine": "reference"}),
+    ("bitmask", {"conflict_engine": "bitmask"}),
 )
 
 #: (label, GTMConfig overrides) for each LDBS backend under comparison
@@ -237,7 +232,7 @@ def compare_episode(spec: EpisodeSpec,
                     mode: str = "engine") -> EpisodeComparison:
     """Run every variant of one episode and diff the outcomes.
 
-    In ``mode="engine"`` GTM episodes compare the three conflict-engine
+    In ``mode="engine"`` GTM episodes compare the two conflict-engine
     variants against each other; ``mode="backend"`` compares the same
     engine with SSTs bound to each LDBS backend (in-memory vs SQLite),
     additionally diffing the commit-order witness and the backends'

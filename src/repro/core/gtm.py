@@ -26,8 +26,6 @@ from repro.core.admission import (
     AdmissionController,
     GrantOutcome,
     LockTable,
-    ShardedLockTable,
-    build_lock_table,
 )
 from repro.core.commit_pipeline import CommitPipeline
 from repro.core.compatibility import (
@@ -41,7 +39,7 @@ from repro.core.events import EventBus, GTMEvent, GTMObserver, dispatch_event
 from repro.core.history import OperationLog
 from repro.core.objects import ManagedObject, ObjectBinding
 from repro.core.opclass import Invocation
-from repro.core.policies import DeadlockPolicy, build_deadlock_policy
+from repro.core.policies import DeadlockPolicy, WaitForGraphPolicy
 from repro.core.reconciliation import ReconcilerRegistry, default_registry
 from repro.core.sleep_manager import SleepManager
 from repro.core.sst import SSTExecutor, SSTReport
@@ -49,7 +47,6 @@ from repro.core.starvation import FifoGrantPolicy, GrantPolicy
 from repro.core.states import TransactionState
 from repro.core.throttle import NoThrottle
 from repro.core.transaction import GTMTransaction
-from repro.ldbs.deadlock import VictimPolicy
 
 __all__ = [
     "GlobalTransactionManager",
@@ -106,20 +103,14 @@ class GTMConfig:
     registry: ReconcilerRegistry = field(default_factory=default_registry)
     grant_policy: GrantPolicy = field(default_factory=FifoGrantPolicy)
     throttle: Any = field(default_factory=NoThrottle)
-    #: Legacy Section VII knobs: maintain a wait-for graph on
-    #: multi-object waits and abort the chosen victim on a cycle.
-    deadlock_detection: bool = True
-    victim_policy: VictimPolicy = VictimPolicy.YOUNGEST
-    #: Explicit policy (wound-wait / wait-die / graph / none);
-    #: overrides the two legacy knobs above when set.
+    #: Section VII deadlock policing (wound-wait / wait-die / graph /
+    #: none).  ``None`` builds a fresh wait-for graph per manager that
+    #: aborts the youngest transaction on a cycle.
     deadlock_policy: DeadlockPolicy | None = None
     #: Conflict engine: ``"bitmask"`` (compiled Table I + lock-set
     #: summaries, the default) or ``"reference"`` (pairwise Definition 1,
     #: kept as the differential-testing oracle).
     conflict_engine: str = "bitmask"
-    #: Lock-table shards; 1 keeps the flat directory.  Shard count never
-    #: changes scheduling outcomes (asserted by the differential tests).
-    lock_shards: int = 1
     #: LDBS backend for SST execution: ``"memory"`` (in-memory strict-2PL
     #: engine) or ``"sqlite"`` (WAL mode, libres-style read/write path
     #: split).  Consumed by whoever builds the SSTExecutor — the
@@ -173,15 +164,12 @@ class GlobalTransactionManager:
         #: operation log + commit order for serializability checking.
         self.history = OperationLog()
 
-        self.deadlock_policy = (
-            self.config.deadlock_policy
-            or build_deadlock_policy(self.config.deadlock_detection,
-                                     self.config.victim_policy))
+        self.deadlock_policy = (self.config.deadlock_policy
+                                or WaitForGraphPolicy())
         self.deadlock_policy.bind(
             lambda t: (self.transactions[t].begin_time
                        if t in self.transactions else 0.0))
-        self.lock_table: LockTable | ShardedLockTable = \
-            build_lock_table(self.config.lock_shards)
+        self.lock_table = LockTable()
         self.admission = AdmissionController(
             lock_table=self.lock_table, checker=self.checker,
             grant_policy=self.config.grant_policy,

@@ -22,7 +22,6 @@ database writes.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
@@ -30,11 +29,8 @@ from repro.errors import GTMError
 from repro.core.opclass import OP_CLASS_COUNT, Invocation
 from repro.core.pool import FreeList
 
-#: Template for a zeroed per-class count row.  ``array("q")`` (signed
-#: 64-bit) instead of a list: same O(1) indexed access for the bitmask
-#: kernel, but a flat C buffer the vector engine can wrap zero-copy
-#: with ``numpy.frombuffer``.
-_ZERO_ROW = array("q", [0] * OP_CLASS_COUNT)
+#: Template for a zeroed per-class count row.
+_ZERO_ROW = (0,) * OP_CLASS_COUNT
 
 
 class LockSetSummary:
@@ -69,8 +65,8 @@ class LockSetSummary:
                  "total_ops")
 
     def __init__(self) -> None:
-        self.class_totals: array = array("q", _ZERO_ROW)
-        self.member_counts: dict[str, array] = {}
+        self.class_totals: list[int] = list(_ZERO_ROW)
+        self.member_counts: dict[str, list[int]] = {}
         self.member_masks: dict[str, int] = {}
         self.total_ops = 0
 
@@ -83,7 +79,7 @@ class LockSetSummary:
         member = invocation.member
         counts = self.member_counts.get(member)
         if counts is None:
-            counts = self.member_counts[member] = array("q", _ZERO_ROW)
+            counts = self.member_counts[member] = list(_ZERO_ROW)
         counts[bit] += 1
         self.member_masks[member] = self.member_masks.get(member, 0) \
             | (1 << bit)
@@ -110,7 +106,7 @@ class LockSetSummary:
 
     def rebuild_from(self, obj: "ManagedObject") -> None:
         """Recompute from the object's raw sets (verification aid)."""
-        self.class_totals = array("q", _ZERO_ROW)
+        self.class_totals = list(_ZERO_ROW)
         self.member_counts.clear()
         self.member_masks.clear()
         self.total_ops = 0

@@ -49,7 +49,7 @@ from repro.core.gtm import GTMConfig
 from repro.core.history import OperationLog
 from repro.core.objects import CommitRecord, ManagedObject, ObjectBinding
 from repro.core.opclass import Invocation, OperationClass
-from repro.core.policies import build_deadlock_policy
+from repro.core.policies import WaitForGraphPolicy
 from repro.core.pool import ScratchLists
 from repro.core.sst import SSTExecutor, SSTReport, StagedWrite
 from repro.core.states import TransactionState
@@ -138,10 +138,8 @@ class FederatedTransactionManager:
         self.history = OperationLog()
         self.sst_reports: list[SSTReport] = []
 
-        self.deadlock_policy = (
-            self.config.deadlock_policy
-            or build_deadlock_policy(self.config.deadlock_detection,
-                                     self.config.victim_policy))
+        self.deadlock_policy = (self.config.deadlock_policy
+                                or WaitForGraphPolicy())
         self.deadlock_policy.bind(
             lambda t: (self.transactions[t].begin_time
                        if t in self.transactions else 0.0))

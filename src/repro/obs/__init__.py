@@ -23,7 +23,7 @@ Entry point::
     for observer in obs.observers():
         gtm.subscribe(observer)
     ...run...
-    obs.finalize(makespan)
+    obs.finalize(makespan, collector)   # the run's MetricsCollector
     print(obs.summary())
 """
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.metrics.collectors import MetricsCollector
 from repro.obs.export import (
     ObsFrame,
     frame_from_collector,
@@ -102,11 +103,16 @@ class Observability:
         for observer in self._observers:
             gtm.subscribe(observer)
 
-    def finalize(self, now: float) -> None:
-        """Close open spans/intervals at makespan (unfinished work)."""
+    def finalize(self, now: float, collector: MetricsCollector) -> None:
+        """Close open spans at makespan and fold the metrics.
+
+        ``collector`` is the run's timeline collector, already
+        finalized at ``now``: the wait/sleep histograms come from its
+        closed intervals.
+        """
         if self.recorder is not None:
             self.recorder.finalize(now)
-        self._metrics_observer.finalize(now)
+        self._metrics_observer.finalize(collector)
 
     def snapshot_lock_table(self, lock_table) -> None:
         """Record per-shard lock-directory occupancy."""

@@ -8,6 +8,13 @@ the registry instruments are materialized **once**, at
 episode dispatches thousands of hooks, so per-event cost is the entire
 overhead budget, while the end-of-episode fold is paid once.
 
+The wait/sleep histograms keep no interval state of their own: they
+are folded from the closed ``intervals`` of the run's
+:class:`~repro.metrics.collectors.TxnTimeline` records, which the
+scheduler's always-on :class:`~repro.metrics.collectors.TimelineObserver`
+already builds (disjointness, the ``t_wait`` audit and makespan
+finalization live there, once).
+
 Metric vocabulary (all prefixed ``gtm_``):
 
 ========================== ========= =====================================
@@ -45,6 +52,7 @@ from typing import Any
 
 from repro.core.events import GTMObserver
 from repro.core.opclass import OperationClass
+from repro.metrics.collectors import MetricsCollector
 from repro.obs.registry import MetricsRegistry
 
 #: OperationClass -> reconciliation-rule label.  Eq. (1) covers the
@@ -95,9 +103,8 @@ class MetricsObserver(GTMObserver):
         "registry", "begins", "grants", "waits", "commits", "aborts",
         "sleeps", "awakes", "reconciliations", "revalidations",
         "pump_passes", "pump_examined", "pump_granted", "overtakes",
-        "repolice_sweeps", "repolice_edges", "wait_durations",
-        "sleep_durations", "_wait_started", "_sleep_started",
-        "_pool_baseline", "_finalized")
+        "repolice_sweeps", "repolice_edges", "_pool_baseline",
+        "_finalized")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
@@ -120,12 +127,6 @@ class MetricsObserver(GTMObserver):
         self.overtakes = 0
         self.repolice_sweeps = 0
         self.repolice_edges = 0
-        self.wait_durations: list[float] = []
-        self.sleep_durations: list[float] = []
-        #: open wait/sleep interval starts, mirroring TxnTimeline's
-        #: disjointness semantics so the histograms agree with RunStats.
-        self._wait_started: dict[str, float] = {}
-        self._sleep_started: dict[str, float] = {}
         #: pool label -> (created, reused) at attach time; finalize
         #: reports this episode's delta under ``gtm_pool_*``.
         self._pool_baseline = _pool_counts(drain=True)
@@ -138,24 +139,17 @@ class MetricsObserver(GTMObserver):
 
     def on_global_commit(self, txn, now):
         self.commits += 1
-        self._close_wait(txn.txn_id, now)
-        self._close_sleep(txn.txn_id, now)
 
     def on_global_abort(self, txn, now, reason):
         self.aborts[reason] = self.aborts.get(reason, 0) + 1
-        self._close_wait(txn.txn_id, now)
-        self._close_sleep(txn.txn_id, now)
 
     # -- admission ----------------------------------------------------
 
     def on_wait(self, txn, obj, invocation, now):
         self.waits += 1
-        self._wait_started.setdefault(txn.txn_id, now)
 
     def on_grant(self, txn, obj, invocation, now):
         self.grants += 1
-        if not txn.t_wait:  # same audit as TimelineObserver.on_grant
-            self._close_wait(txn.txn_id, now)
 
     def on_pump(self, obj, examined, granted, overtakes, now):
         self.pump_passes += 1
@@ -171,13 +165,10 @@ class MetricsObserver(GTMObserver):
 
     def on_sleep(self, txn, now):
         self.sleeps += 1
-        self._close_wait(txn.txn_id, now)  # disjointness rule
-        self._sleep_started.setdefault(txn.txn_id, now)
 
     def on_awake(self, txn, now, survived):
         label = "survived" if survived else "sleep-conflict"
         self.awakes[label] = self.awakes.get(label, 0) + 1
-        self._close_sleep(txn.txn_id, now)
 
     def on_revalidate(self, txn, obj, conflicted, now):
         label = "conflicted" if conflicted else "clear"
@@ -194,28 +185,16 @@ class MetricsObserver(GTMObserver):
             rule = invocation.op_class.value
         self.reconciliations[rule] = self.reconciliations.get(rule, 0) + 1
 
-    # -- interval plumbing --------------------------------------------
+    def finalize(self, collector: MetricsCollector) -> None:
+        """Materialize the registry instruments (idempotent; fires once).
 
-    def _close_wait(self, txn_id: str, now: float) -> None:
-        started = self._wait_started.pop(txn_id, None)
-        if started is not None:
-            self.wait_durations.append(now - started)
-
-    def _close_sleep(self, txn_id: str, now: float) -> None:
-        started = self._sleep_started.pop(txn_id, None)
-        if started is not None:
-            self.sleep_durations.append(now - started)
-
-    def finalize(self, now: float) -> None:
-        """Flush open intervals at makespan and materialize the
-        registry instruments (idempotent; fires once)."""
+        ``collector`` holds the run's timelines, already finalized at
+        makespan; their closed intervals feed ``gtm_wait_seconds`` and
+        ``gtm_sleep_seconds``.
+        """
         if self._finalized:
             return
         self._finalized = True
-        for txn_id in sorted(self._wait_started):
-            self._close_wait(txn_id, now)
-        for txn_id in sorted(self._sleep_started):
-            self._close_sleep(txn_id, now)
         registry = self.registry
         if not registry.enabled:
             return
@@ -246,14 +225,15 @@ class MetricsObserver(GTMObserver):
                 counter = registry.counter(name)
                 for label, count in series.items():
                     counter.inc(count, label=label)
-        if self.wait_durations:
-            wait_hist = registry.histogram("gtm_wait_seconds")
-            for duration in self.wait_durations:
-                wait_hist.observe(duration)
-        if self.sleep_durations:
-            sleep_hist = registry.histogram("gtm_sleep_seconds")
-            for duration in self.sleep_durations:
-                sleep_hist.observe(duration)
+        durations: dict[str, list[float]] = {"wait": [], "sleep": []}
+        for timeline in collector.timelines.values():
+            for kind, start, end in timeline.intervals:
+                durations[kind].append(end - start)
+        for kind, values in durations.items():
+            if values:
+                histogram = registry.histogram(f"gtm_{kind}_seconds")
+                for value in values:
+                    histogram.observe(value)
         for label, (created, reused) in _pool_counts().items():
             base_created, base_reused = self._pool_baseline[label]
             if created > base_created:
@@ -267,8 +247,8 @@ class MetricsObserver(GTMObserver):
         """Record per-shard directory occupancy as a gauge.
 
         Accepts either a flat :class:`~repro.core.admission.LockTable`
-        (reported as one shard) or a
-        :class:`~repro.core.admission.ShardedLockTable`.
+        (reported as one shard) or a federation's
+        :class:`~repro.federation.routing.FederationDirectory`.
         """
         gauge = self.registry.gauge("gtm_lock_shard_occupancy")
         shards = getattr(lock_table, "shards", None)

@@ -218,7 +218,7 @@ class GTMScheduler(Scheduler):
         }
         result = self._result(collector, makespan, final_values, extra)
         if obs is not None:
-            obs.finalize(makespan)
+            obs.finalize(makespan, collector)
             obs.snapshot_lock_table(gtm.lock_table)
             result.obs = obs
         return result

@@ -8,6 +8,11 @@ drop the connection mid-flight, sleep out the outage, reconnect with
 the session token, and try to finish the surviving work — exercising
 ⟨sleep⟩/⟨awake⟩/BTO under real concurrency instead of simulated time.
 
+Besides commits, aborts and drops, the report's metrics count
+``load_awakes`` (transactions a resume woke), ``load_fresh_identities``
+(sessions restarted because their token died) and ``load_errors`` (by
+wire code, plus the event for protocol errors).
+
 When every session finishes, the run is handed to the serializability
 oracle (:mod:`repro.check.oracle`): the service is only correct if the
 concurrent outcome is explained by a serial order.  The report —
@@ -27,12 +32,13 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from repro.errors import GTMError, SessionError
+from repro.errors import GTMError, ProtocolError, SessionError, TokenInUse
 from repro.check.oracle import check_episode, record_gtm
 from repro.driver.asyncio_driver import AsyncioDriver
 from repro.obs.registry import MetricsRegistry
 from repro.service.client import ConnectionLost, ServiceClient
 from repro.service.core import GTMService, ServiceConfig
+from repro.service.protocol import error_code
 from repro.service.server import (
     ServiceServer,
     memory_connector,
@@ -89,12 +95,16 @@ async def _run_session(index: int, cfg: LoadConfig, connector,
             except ConnectionLost:
                 try:
                     client = await _reconnect(client, connector,
-                                              token, cfg)
+                                              token, cfg, metrics)
                 except SessionError:
-                    client, token = await _fresh_identity(connector)
+                    client, token = await _fresh_identity(connector,
+                                                          metrics)
                 continue
             drop_at = (rng.randrange(cfg.ops_per_txn)
                        if rng.random() < cfg.drop_prob else None)
+            # Distinct objects: a second invocation on an object the
+            # transaction already holds is a protocol error, not load.
+            targets = rng.sample(range(cfg.objects), cfg.ops_per_txn)
             outcome: str | None = None
             try:
                 for op_index in range(cfg.ops_per_txn):
@@ -103,12 +113,12 @@ async def _run_session(index: int, cfg: LoadConfig, connector,
                         metrics.counter("load_drops").inc()
                         await asyncio.sleep(cfg.reconnect_delay)
                         client = await _reconnect(
-                            client, connector, token, cfg)
+                            client, connector, token, cfg, metrics)
                         outcome = await _finish_after_outage(
                             client, txn)
                         break
                     op = _OPS[rng.randrange(len(_OPS))]
-                    obj = f"o{rng.randrange(cfg.objects):05d}"
+                    obj = f"o{targets[op_index]:05d}"
                     operand = (None if op == "read"
                                else rng.randrange(1, 10))
                     reply = await client.op(txn, op, obj, operand)
@@ -127,19 +137,24 @@ async def _run_session(index: int, cfg: LoadConfig, connector,
                 await asyncio.sleep(cfg.reconnect_delay)
                 try:
                     client = await _reconnect(client, connector,
-                                              token, cfg)
+                                              token, cfg, metrics)
                     outcome = await _finish_after_outage(client, txn)
                 except SessionError:
-                    client, token = await _fresh_identity(connector)
+                    client, token = await _fresh_identity(connector,
+                                                          metrics)
                     outcome = "aborted"
             except SessionError:
                 # The token died during the outage (BTO expiry or
                 # close): the in-flight work is gone; new identity.
-                client, token = await _fresh_identity(connector)
+                client, token = await _fresh_identity(connector, metrics)
                 outcome = "aborted"
-            except GTMError:
+            except GTMError as exc:
                 # A semantic failure (e.g. reconciliation undefined):
                 # the transaction cannot finish — abort it.
+                cause = error_code(exc)
+                if isinstance(exc, ProtocolError):
+                    cause += f":{exc.event}"
+                metrics.counter("load_errors").inc(label=cause)
                 try:
                     await client.abort(txn)
                 except Exception:
@@ -161,25 +176,35 @@ async def _run_session(index: int, cfg: LoadConfig, connector,
             await client.close()
 
 
-async def _fresh_identity(connector) -> tuple[ServiceClient, str]:
+async def _fresh_identity(connector, metrics: MetricsRegistry
+                          ) -> tuple[ServiceClient, str]:
     """The old token is dead; start over as a new session."""
+    metrics.counter("load_fresh_identities").inc()
     client = ServiceClient(*await connector())
     await client.hello()
     return client, client.token
 
 
 async def _reconnect(old: ServiceClient, connector, token: str,
-                     cfg: LoadConfig) -> ServiceClient:
+                     cfg: LoadConfig,
+                     metrics: MetricsRegistry) -> ServiceClient:
     """Open a fresh transport and resume the session token."""
     await old.close()
     while True:
         client = ServiceClient(*await connector())
         try:
-            await client.hello(token)
+            welcome = await client.hello(token)
+            metrics.counter("load_awakes").inc(
+                len(welcome.get("awake", ())))
             return client
         except ConnectionLost:
             await client.close()
             await asyncio.sleep(cfg.reconnect_delay)
+        except TokenInUse:
+            # Transient: the server has not yet seen the old
+            # transport's EOF.  Retry after one loop turn.
+            await client.close()
+            await asyncio.sleep(0)
         except SessionError:
             # Expired (BTO) or closed: the old work is gone; the
             # caller treats in-flight txns as aborted via the welcome.
@@ -217,6 +242,10 @@ async def _finish_after_outage(client: ServiceClient,
 
 async def run_load(cfg: LoadConfig) -> dict[str, Any]:
     """Run one load campaign; returns the (oracle-checked) report."""
+    if cfg.ops_per_txn > cfg.objects:
+        raise ValueError(
+            f"ops_per_txn ({cfg.ops_per_txn}) exceeds objects "
+            f"({cfg.objects}): a transaction touches distinct objects")
     driver = AsyncioDriver()
     service = GTMService(driver, config=ServiceConfig(
         bto_timeout=cfg.bto_timeout, retire_finished=True))

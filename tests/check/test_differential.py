@@ -1,13 +1,11 @@
 """Seeded differential fuzz campaigns: the optimisation changes nothing.
 
 Per episode the harness compares the full observable outcome (trace,
-permanent object state, invariants) of the reference conflict engine,
-the bitmask engine, the bitmask engine on an 8-shard lock table and —
-when numpy is importable — the vectorized mask engine.  Baseline
-schedulers (which have no engine switch) degrade to run-twice
-determinism checks.  The satellite requirement is >=200 episodes x 3
-schedulers across reference/bitmask/vector; they are parametrized so
-each scheduler stays inside the default per-test budget.
+permanent object state, invariants) of the reference conflict engine
+(the pairwise oracle) and the bitmask engine.  Baseline schedulers
+(which have no engine switch) degrade to run-twice determinism checks.
+The campaigns run >=200 episodes x 3 schedulers; they are parametrized
+so each scheduler stays inside the default per-test budget.
 """
 
 import pytest
@@ -18,6 +16,7 @@ from repro.check.differential import (
     run_differential_campaign,
 )
 from repro.check.fuzzer import SCHEDULER_NAMES, FuzzConfig, generate_episode
+from repro.core.conflicts import CONFLICT_ENGINES
 
 EPISODES_PER_SCHEDULER = 200
 
@@ -33,17 +32,12 @@ def test_differential_campaign_has_zero_divergences(scheduler):
 
 def test_gtm_variant_matrix_covers_every_conflict_engine():
     """The 200-episode campaigns above derive their coverage from
-    GTM_VARIANTS, so pin what that matrix actually contains: all three
-    conflict engines (vector included when numpy is present)."""
-    engines = {overrides.get("conflict_engine", "bitmask")
-               for _, overrides in GTM_VARIANTS}
-    expected = {"reference", "bitmask"}
-    try:
-        import numpy  # noqa: F401
-        expected.add("vector")
-    except ImportError:
-        pass
-    assert engines == expected
+    GTM_VARIANTS, so pin what that matrix actually contains: both
+    conflict engines, the reference oracle first."""
+    engines = [overrides["conflict_engine"]
+               for _, overrides in GTM_VARIANTS]
+    assert engines == ["reference", "bitmask"]
+    assert set(engines) == set(CONFLICT_ENGINES)
 
 
 def test_gtm_episode_compares_all_variants():

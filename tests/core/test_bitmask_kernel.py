@@ -236,3 +236,6 @@ class TestEngineSelection:
     def test_gtm_config_rejects_unknown_engine(self):
         with pytest.raises(GTMError, match="unknown conflict engine"):
             GlobalTransactionManager(GTMConfig(conflict_engine="nope"))
+        # the retired numpy engine is no longer a valid name
+        with pytest.raises(GTMError, match="unknown conflict engine"):
+            GlobalTransactionManager(GTMConfig(conflict_engine="vector"))

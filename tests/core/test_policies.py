@@ -6,10 +6,10 @@ from repro.core.policies import (
     WaitDiePolicy,
     WaitForGraphPolicy,
     WoundWaitPolicy,
-    build_deadlock_policy,
 )
 from repro.core.opclass import assign
 from repro.core.states import TransactionState
+from repro.federation import build_transaction_manager
 from repro.ldbs.deadlock import VictimPolicy
 
 _S = TransactionState
@@ -115,16 +115,19 @@ class TestNoPolicy:
 
 
 class TestBuildPolicy:
-    def test_legacy_knobs_map_to_policies(self):
-        assert isinstance(build_deadlock_policy(False,
-                                                VictimPolicy.YOUNGEST),
-                          NoDeadlockPolicy)
-        policy = build_deadlock_policy(True, VictimPolicy.OLDEST)
-        assert isinstance(policy, WaitForGraphPolicy)
+    def test_default_is_a_fresh_youngest_graph_per_manager(self):
+        # monolith (0) and federation (1) build the default the same way
+        for shards in (0, 1):
+            config = GTMConfig(gtm_shards=shards)
+            first = build_transaction_manager(config)
+            second = build_transaction_manager(config)
+            assert isinstance(first.deadlock_policy, WaitForGraphPolicy)
+            assert first.deadlock_policy.detector.policy is \
+                VictimPolicy.YOUNGEST
+            assert first.deadlock_policy is not second.deadlock_policy
 
-    def test_explicit_policy_overrides_legacy_knobs(self):
+    def test_explicit_policy_is_used_as_given(self):
         policy = WoundWaitPolicy()
         gtm = GlobalTransactionManager(
-            config=GTMConfig(deadlock_detection=False,
-                             deadlock_policy=policy))
+            config=GTMConfig(deadlock_policy=policy))
         assert gtm.deadlock_policy is policy

@@ -3,10 +3,10 @@
 The federation's correctness argument starts with the partition: one
 shard owns *all* state for an object, so these tests pin that the crc32
 routing is total (every name lands on exactly one shard), stable across
-router instances and shard-table implementations (the
-:class:`~repro.core.admission.ShardedLockTable` scheme it generalizes),
-and that directory iteration follows registration order for any shard
-count — what keeps reports and final-value dumps byte-stable.
+router instances and the merged directory (which routes through the
+same :meth:`ObjectRouter.index_of`), and that directory iteration
+follows registration order for any shard count — what keeps reports and
+final-value dumps byte-stable.
 """
 
 import random
@@ -14,7 +14,7 @@ import zlib
 
 import pytest
 
-from repro.core.admission import ShardedLockTable
+from repro.core.admission import LockTable
 from repro.core.gtm import GTMConfig
 from repro.errors import GTMError
 from repro.federation import build_transaction_manager
@@ -49,15 +49,16 @@ def test_every_object_routes_to_exactly_one_shard(shard_count):
 @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
 def test_routing_is_stable_and_matches_the_lock_table_scheme(shard_count):
     """Two routers agree with each other, with the raw crc32 formula,
-    and with the ShardedLockTable scheme the federation generalizes."""
+    and with the lock table the federation directory picks."""
     first = ObjectRouter(shard_count)
     second = ObjectRouter(shard_count)
-    reference = ShardedLockTable(shard_count)
+    directory = FederationDirectory(
+        LockTable() for _ in range(shard_count))
     for name in _names(100, seed=23):
         expected = zlib.crc32(name.encode("utf-8")) % shard_count
         assert first.index_of(name) == expected
         assert second.index_of(name) == expected
-        assert reference.shard_of(name) is reference.shards[expected]
+        assert directory.shard_of(name) is directory.shards[expected]
 
 
 def test_iteration_follows_registration_order_for_any_shard_count():

@@ -4,16 +4,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.admission import build_lock_table
-from repro.core.gtm import GlobalTransactionManager
+from repro.check.fuzzer import FuzzConfig, generate_episode
+from repro.check.runner import run_campaign, run_episode
+from repro.core.admission import LockTable
+from repro.core.gtm import GlobalTransactionManager, GTMConfig
 from repro.core.opclass import add, assign, multiply
+from repro.federation import build_transaction_manager
+from repro.metrics.collectors import MetricsCollector, TimelineObserver
 from repro.obs.observers import MetricsObserver
 from repro.obs.registry import MetricsRegistry
 
 
-def txn(txn_id="T", t_wait=None):
-    return SimpleNamespace(txn_id=txn_id,
-                           t_wait={} if t_wait is None else t_wait)
+def txn(txn_id="T"):
+    return SimpleNamespace(txn_id=txn_id)
 
 
 class TestDeferredMaterialization:
@@ -23,7 +26,7 @@ class TestDeferredMaterialization:
         observer.on_begin(txn("A"), 0.0)
         observer.on_global_commit(txn("A"), 2.0)
         assert registry.snapshot() == {}
-        observer.finalize(2.0)
+        observer.finalize(MetricsCollector())
         snap = registry.snapshot()
         assert snap["gtm_txn_begins"]["series"] == {"": 1.0}
         assert snap["gtm_commits"]["series"] == {"": 1.0}
@@ -32,7 +35,7 @@ class TestDeferredMaterialization:
         registry = MetricsRegistry()
         observer = MetricsObserver(registry)
         observer.on_begin(txn("A"), 0.0)
-        observer.finalize(1.0)
+        observer.finalize(MetricsCollector())
         # no grants/waits/aborts happened -> those names never register
         # (absent and zero merge identically downstream)
         assert list(registry.snapshot()) == ["gtm_txn_begins"]
@@ -41,44 +44,9 @@ class TestDeferredMaterialization:
         registry = MetricsRegistry()
         observer = MetricsObserver(registry)
         observer.on_begin(txn("A"), 0.0)
-        observer.finalize(1.0)
-        observer.finalize(5.0)
+        observer.finalize(MetricsCollector())
+        observer.finalize(MetricsCollector())
         assert registry.counter("gtm_txn_begins").total() == 1.0
-
-    def test_finalize_flushes_open_intervals(self):
-        registry = MetricsRegistry()
-        observer = MetricsObserver(registry)
-        observer.on_wait(txn("A"), None, None, 1.0)
-        observer.on_sleep(txn("B"), 2.0)
-        observer.finalize(10.0)
-        snap = registry.snapshot()
-        assert snap["gtm_wait_seconds"]["sum"] == pytest.approx(9.0)
-        assert snap["gtm_sleep_seconds"]["sum"] == pytest.approx(8.0)
-
-    def test_sleep_closes_wait_interval(self):
-        # same disjointness rule as TxnTimeline.on_sleep_start
-        registry = MetricsRegistry()
-        observer = MetricsObserver(registry)
-        observer.on_wait(txn("A"), None, None, 1.0)
-        observer.on_sleep(txn("A"), 4.0)
-        observer.on_awake(txn("A"), 9.0, True)
-        observer.finalize(9.0)
-        snap = registry.snapshot()
-        assert snap["gtm_wait_seconds"]["sum"] == pytest.approx(3.0)
-        assert snap["gtm_sleep_seconds"]["sum"] == pytest.approx(5.0)
-
-    def test_grant_with_pending_t_wait_keeps_wait_open(self):
-        registry = MetricsRegistry()
-        observer = MetricsObserver(registry)
-        still_queued = txn("A", t_wait={"X": object()})
-        observer.on_wait(still_queued, None, None, 1.0)
-        observer.on_grant(still_queued, None, None, 3.0)
-        still_queued.t_wait = {}
-        observer.on_grant(still_queued, None, None, 5.0)
-        observer.finalize(5.0)
-        snap = registry.snapshot()
-        assert snap["gtm_wait_seconds"]["sum"] == pytest.approx(4.0)
-        assert snap["gtm_grants"]["series"] == {"": 2.0}
 
     def test_labelled_series(self):
         registry = MetricsRegistry()
@@ -88,7 +56,7 @@ class TestDeferredMaterialization:
         observer.on_awake(txn("C"), 3.0, True)
         observer.on_awake(txn("D"), 4.0, False)
         observer.on_revalidate(txn("E"), None, True, 5.0)
-        observer.finalize(5.0)
+        observer.finalize(MetricsCollector())
         snap = registry.snapshot()
         assert snap["gtm_aborts"]["series"] == {"deadlock-victim": 2.0}
         assert snap["gtm_awakes"]["series"] == {"sleep-conflict": 1.0,
@@ -100,7 +68,7 @@ class TestLockTableSnapshot:
     def test_flat_table_reports_one_shard(self):
         registry = MetricsRegistry()
         observer = MetricsObserver(registry)
-        table = build_lock_table(1)
+        table = LockTable()
         table.register(SimpleNamespace(name="X"))
         table.register(SimpleNamespace(name="Y"))
         observer.snapshot_lock_table(table)
@@ -110,10 +78,10 @@ class TestLockTableSnapshot:
     def test_sharded_table_reports_per_shard(self):
         registry = MetricsRegistry()
         observer = MetricsObserver(registry)
-        table = build_lock_table(4)
+        manager = build_transaction_manager(GTMConfig(gtm_shards=4))
         for name in ("A", "B", "C", "D", "E"):
-            table.register(SimpleNamespace(name=name))
-        observer.snapshot_lock_table(table)
+            manager.create_object(name, value=0)
+        observer.snapshot_lock_table(manager.lock_table)
         gauge = registry.gauge("gtm_lock_shard_occupancy")
         total = sum(gauge.value(f"shard{i}") for i in range(4))
         assert total == 5.0
@@ -135,7 +103,7 @@ class TestBusDrivenMetrics:
         for txn_id in ("T1", "T2"):
             gtm.request_commit(txn_id)
         gtm.pump_commits()
-        observer.finalize(gtm.now())
+        observer.finalize(MetricsCollector())
         snap = registry.snapshot()
         assert snap["gtm_reconciliations"]["series"] == {"eq1": 1.0,
                                                          "eq2": 1.0}
@@ -144,6 +112,8 @@ class TestBusDrivenMetrics:
     def test_contended_run_counts_waits_and_pumps(self):
         gtm = GlobalTransactionManager()
         registry = MetricsRegistry()
+        collector = MetricsCollector()
+        gtm.subscribe(TimelineObserver(collector))
         observer = gtm.subscribe(MetricsObserver(registry))
         gtm.create_object("X", value=10)
         gtm.begin("T1")
@@ -153,9 +123,36 @@ class TestBusDrivenMetrics:
         gtm.apply("T1", "X", assign(1))
         gtm.request_commit("T1")
         gtm.pump_commits()
-        observer.finalize(gtm.now())
+        collector.finalize(gtm.now())
+        observer.finalize(collector)
         snap = registry.snapshot()
         assert snap["gtm_waits"]["series"] == {"": 1.0}
         assert snap["gtm_grants"]["series"][""] >= 2.0
         assert snap["gtm_pump_passes"]["series"][""] >= 1.0
         assert snap["gtm_wait_seconds"]["count"] == 1
+
+
+class TestIntervalHistograms:
+    def test_histograms_match_collector_intervals(self):
+        """gtm_wait_seconds / gtm_sleep_seconds are folded from the
+        timelines' closed intervals: across an observed campaign their
+        count and sum equal the intervals the collectors recorded."""
+        config = FuzzConfig(scheduler="gtm", max_objects=2, max_txns=12)
+        episodes = 30
+        report = run_campaign(config, seed=2008, episodes=episodes,
+                              observe=True)
+        expected = {"wait": [], "sleep": []}
+        for index in range(episodes):
+            outcome = run_episode(generate_episode(config, 2008, index))
+            for timeline in outcome.result.collector.timelines.values():
+                for kind, start, end in timeline.intervals:
+                    expected[kind].append(end - start)
+        metrics = report.metrics.metrics
+        for kind, durations in expected.items():
+            assert durations, f"campaign recorded no {kind} intervals"
+            histogram = metrics[f"gtm_{kind}_seconds"]
+            assert histogram["count"] == len(durations)
+            assert histogram["sum"] == pytest.approx(sum(durations),
+                                                     rel=1e-12)
+            assert histogram["min"] == min(durations)
+            assert histogram["max"] == max(durations)

@@ -250,6 +250,34 @@ class TestInProcessLoad:
         assert report["committed"] > 0
         assert report["oracle"]["serializable"] is True
 
+    def test_transactions_never_repeat_an_object(self):
+        """Each transaction draws distinct objects, so no invoke hits
+        ``ProtocolError: already granted`` (a repeat on an object the
+        transaction already holds)."""
+        cfg = LoadConfig(sessions=24, transactions=6, ops_per_txn=4,
+                         objects=12, drop_prob=0.0, seed=7)
+        report = run(run_load(cfg))
+        errors = report["metrics"].get("load_errors", {"series": {}})
+        assert "gtm/protocol:invoke" not in errors["series"]
+        assert report["committed"] > 0
+
+    def test_token_in_use_is_retried_not_abandoned(self):
+        """With no reconnect delay the resume races the server's EOF
+        handling and meets ``TokenInUse``; the harness retries it, so
+        sleeping transactions are awakened and no live token is
+        traded for a fresh identity."""
+        cfg = LoadConfig(sessions=24, transactions=4, ops_per_txn=3,
+                         objects=16, drop_prob=0.3, reconnect_delay=0.0,
+                         seed=7)
+        report = run(run_load(cfg))
+        counters = {name: snap["series"].get("", 0.0)
+                    for name, snap in report["metrics"].items()
+                    if snap["kind"] == "counter"}
+        assert counters["load_drops"] > 0
+        assert counters["load_awakes"] > 0
+        assert counters.get("load_fresh_identities", 0.0) == 0.0
+        assert report["oracle"]["serializable"] is True
+
     def test_connection_lost_poisons_outstanding_requests(self):
         async def check():
             service, server = make_server()

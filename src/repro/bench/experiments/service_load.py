@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.metrics.report import render_table
-from repro.service.load import LoadConfig, run_load
+from repro.service.load import LoadConfig, run_curve
 
 #: The benchmark's fixed shape: big enough that admission queueing,
 #: deferred commits and awake revalidation all occur, small enough to
@@ -31,10 +31,6 @@ BENCH_CONFIG = LoadConfig(sessions=128, transactions=4, ops_per_txn=4,
                           reconnect_delay=0.002, bto_timeout=30.0,
                           transport="memory", seed=42,
                           out="BENCH_service.json")
-
-
-def run(config: LoadConfig | None = None) -> dict[str, Any]:
-    return asyncio.run(run_load(config or BENCH_CONFIG))
 
 
 def render(report: dict[str, Any]) -> str:
@@ -70,9 +66,10 @@ def shape_checks(report: dict[str, Any]) -> dict[str, bool]:
 def main(jobs: int | str = 1) -> str:
     # jobs is accepted for CLI uniformity; the load is one event loop.
     del jobs
-    report = run()
+    curve = asyncio.run(run_curve(BENCH_CONFIG, [BENCH_CONFIG.sessions]))
+    report = curve["points"][0]["runs"][0]
     Path(BENCH_CONFIG.out).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
+        json.dumps(curve, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     checks = shape_checks(report)
     lines = [render(report), "",

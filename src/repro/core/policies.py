@@ -62,8 +62,8 @@ class DeadlockPolicy(Protocol):
                      blockers: Sequence[str]) -> DeadlockResolution | None:
         """Replace ``waiter``'s recorded blockers and re-check (the
         re-police path); equivalent to ``on_stop_waiting`` followed by
-        ``on_wait``, but detection policies may skip the cycle search
-        when the blocker set is unchanged."""
+        ``on_wait``, but a detection policy keeps the wait-for graph's
+        proven-clean nodes when the blocker set is unchanged."""
         ...
 
     def on_stop_waiting(self, waiter: str) -> None:

@@ -15,10 +15,15 @@ wire code, plus the event for protocol errors).
 
 When every session finishes, the run is handed to the serializability
 oracle (:mod:`repro.check.oracle`): the service is only correct if the
-concurrent outcome is explained by a serial order.  The report —
-sustained txn/s, commit latency p50/p95/p99, outcome counts, oracle
-verdict — is written to ``BENCH_service.json``; a non-serializable
-outcome (or zero commits) exits non-zero so CI fails loudly.
+concurrent outcome is explained by a serial order.  Each run reports
+sustained txn/s, commit latency p50/p95/p99 (and how many samples
+overflowed the histogram), outcome counts and the oracle verdict.
+
+``--sessions`` takes one count or a curve (``128,512,2000``) and
+``--repeats N`` runs every point N times; ``BENCH_service.json`` gets
+each point's median and quartiles of txn/s, commit p50/p99 and wall
+time, its runs, and the CPU count.  A non-serializable outcome (or a
+run with zero commits) exits non-zero so CI fails loudly.
 """
 
 from __future__ import annotations
@@ -26,16 +31,18 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import random
+import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from repro.errors import GTMError, ProtocolError, SessionError, TokenInUse
 from repro.check.oracle import check_episode, record_gtm
 from repro.driver.asyncio_driver import AsyncioDriver
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.service.client import ConnectionLost, ServiceClient
 from repro.service.core import GTMService, ServiceConfig
 from repro.service.protocol import error_code
@@ -45,13 +52,19 @@ from repro.service.server import (
     tcp_connector,
 )
 
-#: Commit-latency histogram edges in *milliseconds* of wall time.  The
-#: in-memory transport commits in tens of microseconds and a TCP churn
-#: run under load reaches seconds, so the ladder spans both; fixed
-#: edges keep merged snapshots byte-identical run to run.
-LATENCY_MS_BUCKETS: tuple[float, ...] = (
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-    100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0)
+#: Commit-latency histogram edges in *milliseconds* of wall time: the
+#: Renard R10 ladder (ten log-spaced edges per decade, each step
+#: ~1.26×, so an interpolated quantile is off by at most ~26%) from
+#: 10 µs to 800 s.  The in-memory transport commits in tens of
+#: microseconds, while an overloaded run (thousands of sessions) keeps
+#: commits waiting for minutes, so the ladder runs up to the BTO scale;
+#: fixed edges keep merged snapshots byte-identical run to run.
+#: Samples beyond the top edge are counted as ``overflow`` in the
+#: report, where only their maximum is known.
+LATENCY_MS_BUCKETS: tuple[float, ...] = tuple(
+    round(mantissa * 10.0 ** exponent, 6)
+    for exponent in range(-2, 6)
+    for mantissa in (1.0, 1.25, 1.6, 2.0, 2.5, 3.15, 4.0, 5.0, 6.3, 8.0))
 
 
 @dataclass
@@ -240,6 +253,17 @@ async def _finish_after_outage(client: ServiceClient,
     return "aborted"
 
 
+def latency_summary(latency: Histogram) -> dict[str, Any]:
+    """Commit-latency p50/p95/p99 plus the count past the top edge."""
+
+    def _quantile(q: float) -> float | None:
+        value = latency.quantile(q)
+        return None if value is None else round(value, 3)
+
+    return {"p50": _quantile(0.50), "p95": _quantile(0.95),
+            "p99": _quantile(0.99), "overflow": latency.counts[-1]}
+
+
 async def run_load(cfg: LoadConfig) -> dict[str, Any]:
     """Run one load campaign; returns the (oracle-checked) report."""
     if cfg.ops_per_txn > cfg.objects:
@@ -278,11 +302,6 @@ async def run_load(cfg: LoadConfig) -> dict[str, Any]:
     drops = int(metrics.counter("load_drops").total())
     latency = metrics.histogram("load_commit_latency_ms",
                                 LATENCY_MS_BUCKETS)
-
-    def _quantile(q: float) -> float | None:
-        value = latency.quantile(q)
-        return None if value is None else round(value, 3)
-
     oracle = check_episode(record_gtm(service.gtm))
     report = {
         "config": asdict(cfg),
@@ -292,11 +311,7 @@ async def run_load(cfg: LoadConfig) -> dict[str, Any]:
         "aborted": aborted,
         "drops": drops,
         "txn_per_s": round(committed / elapsed, 1) if elapsed else 0.0,
-        "latency_ms": {
-            "p50": _quantile(0.50),
-            "p95": _quantile(0.95),
-            "p99": _quantile(0.99),
-        },
+        "latency_ms": latency_summary(latency),
         "oracle": {
             "serializable": oracle.serializable,
             "committed": oracle.committed,
@@ -307,14 +322,82 @@ async def run_load(cfg: LoadConfig) -> dict[str, Any]:
     return report
 
 
+def _spread(values: list[float]) -> dict[str, float] | None:
+    """Median and quartiles of repeated measurements (None if empty)."""
+    if not values:
+        return None
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": round(median, 3), "q1": round(q1, 3),
+            "q3": round(q3, 3)}
+
+
+def _curve_point(sessions: int,
+                 runs: list[dict[str, Any]]) -> dict[str, Any]:
+    """One sessions-curve point: the spread of its repeated runs."""
+
+    def spread(pick) -> dict[str, float] | None:
+        return _spread([value for value in map(pick, runs)
+                        if value is not None])
+
+    return {
+        "sessions": sessions,
+        "txn_per_s": spread(lambda run: run["txn_per_s"]),
+        "commit_p50_ms": spread(lambda run: run["latency_ms"]["p50"]),
+        "commit_p99_ms": spread(lambda run: run["latency_ms"]["p99"]),
+        "elapsed_s": spread(lambda run: run["elapsed_s"]),
+        "runs": runs,
+    }
+
+
+async def run_curve(cfg: LoadConfig, sessions: list[int],
+                    repeats: int = 1) -> dict[str, Any]:
+    """Run ``cfg`` at each session count, ``repeats`` times each.
+
+    Runs execute one after another on one loop, so each has the whole
+    process to itself; the CPU count is recorded because wall-clock
+    throughput means little without it.
+    """
+    points = []
+    for count in sessions:
+        runs = [await run_load(replace(cfg, sessions=count))
+                for _ in range(repeats)]
+        points.append(_curve_point(count, runs))
+    config = asdict(cfg)
+    config["sessions"] = list(sessions)
+    config["repeats"] = repeats
+    return {"config": config, "cpu_count": os.cpu_count(),
+            "points": points}
+
+
+def _session_counts(text: str) -> list[int]:
+    """argparse type: one positive count or a comma-separated list."""
+    try:
+        counts = [int(part) for part in text.split(",")]
+    except ValueError:
+        counts = []
+    if not counts or min(counts) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected positive session counts such as 128,512,2000, "
+            f"got {text!r}")
+    return counts
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.load",
         description="Concurrent-session load harness for the GTM "
                     "service (oracle-checked).")
     defaults = LoadConfig()
-    parser.add_argument("--sessions", type=int,
-                        default=defaults.sessions)
+    parser.add_argument("--sessions", type=_session_counts,
+                        default=[defaults.sessions],
+                        help="session count, or a comma-separated "
+                             "curve such as 128,512,2000")
+    parser.add_argument("--repeats", type=int, default=1,
+                        help="runs per session count (the report "
+                             "gives their median and quartiles)")
     parser.add_argument("--transactions", type=int,
                         default=defaults.transactions,
                         help="transactions per session")
@@ -333,31 +416,44 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=defaults.out,
                         help="report path (JSON)")
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error(f"--repeats must be at least 1, got {args.repeats}")
     cfg = LoadConfig(
-        sessions=args.sessions, transactions=args.transactions,
+        sessions=args.sessions[0], transactions=args.transactions,
         ops_per_txn=args.ops_per_txn, objects=args.objects,
         drop_prob=args.drop_prob,
         reconnect_delay=args.reconnect_delay,
         bto_timeout=args.bto_timeout, transport=args.transport,
         seed=args.seed, out=args.out)
 
-    report = asyncio.run(run_load(cfg))
+    curve = asyncio.run(run_curve(cfg, args.sessions, args.repeats))
     with open(cfg.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
+        json.dump(curve, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    print(f"sessions={report['sessions']} "
-          f"committed={report['committed']} "
-          f"aborted={report['aborted']} drops={report['drops']} "
-          f"txn/s={report['txn_per_s']}")
-    print(f"latency ms p50={report['latency_ms']['p50']} "
-          f"p95={report['latency_ms']['p95']} "
-          f"p99={report['latency_ms']['p99']}")
-    print(f"oracle serializable={report['oracle']['serializable']} "
-          f"({report['oracle']['committed']} committed)")
-    if not report["oracle"]["serializable"] or not report["committed"]:
-        return 1
-    return 0
+    print(f"cpu_count={curve['cpu_count']} repeats={args.repeats}")
+    for point in curve["points"]:
+        committed = sum(run["committed"] for run in point["runs"])
+        aborted = sum(run["aborted"] for run in point["runs"])
+        print(f"sessions={point['sessions']} "
+              f"committed={committed} aborted={aborted} "
+              f"txn/s={_fmt(point['txn_per_s'])} "
+              f"p50 ms={_fmt(point['commit_p50_ms'])} "
+              f"p99 ms={_fmt(point['commit_p99_ms'])} "
+              f"elapsed s={_fmt(point['elapsed_s'])}")
+    failed = [run for point in curve["points"] for run in point["runs"]
+              if not run["oracle"]["serializable"] or not run["committed"]]
+    for run in failed:
+        print(f"FAILED sessions={run['sessions']}: oracle "
+              f"serializable={run['oracle']['serializable']}, "
+              f"{run['committed']} committed")
+    return 1 if failed else 0
+
+
+def _fmt(spread: dict[str, float] | None) -> str:
+    if spread is None:
+        return "n/a"
+    return f"{spread['median']} [{spread['q1']}, {spread['q3']}]"
 
 
 if __name__ == "__main__":

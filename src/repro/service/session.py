@@ -110,6 +110,8 @@ class SessionStore:
     def __init__(self) -> None:
         self._sessions: dict[str, Session] = {}
         self._sequence = itertools.count(1)
+        #: tokens that turned EXPIRED or CLOSED since the last purge.
+        self._dead: list[str] = []
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -160,6 +162,7 @@ class SessionStore:
     def expire(self, session: Session,
                aborted: tuple[str, ...]) -> None:
         """The BTO timeout fired while detached."""
+        self._bury(session)
         session.state = SessionState.EXPIRED
         session.aborted_by_bto = aborted
         session.bto_timer = None
@@ -167,23 +170,33 @@ class SessionStore:
 
     def close(self, session: Session) -> None:
         """Graceful ``bye``: the token will never resume."""
+        self._bury(session)
         session.state = SessionState.CLOSED
         session.sink = None
         session.held.clear()
+
+    def _bury(self, session: Session) -> None:
+        """Queue ``session`` for the next purge on its way to a dead
+        state (EXPIRED and CLOSED are the only ones, and final)."""
+        if session.state not in (SessionState.EXPIRED,
+                                 SessionState.CLOSED):
+            self._dead.append(session.token)
 
     def purge_finished(self) -> int:
         """Evict every EXPIRED / CLOSED session; returns the count.
 
         The session-side mirror of the GTM's ``retire_finished``: a
         long-lived daemon must not grow its token directory without
-        bound.  The trade is visible on the wire — a purged token
-        resumes as :class:`UnknownToken` rather than
-        :class:`SessionExpired` — so eviction is opt-in, driven by
-        ``ServiceConfig.retire_finished``.
+        bound.  :meth:`expire` and :meth:`close` queue each token as it
+        dies, so a purge costs the sessions that died since the last
+        one, not the size of the directory.  The trade is visible on
+        the wire — a purged token resumes as :class:`UnknownToken`
+        rather than :class:`SessionExpired` — so eviction is opt-in,
+        driven by ``ServiceConfig.retire_finished``.
         """
-        dead = [token for token, session in self._sessions.items()
-                if session.state in (SessionState.EXPIRED,
-                                     SessionState.CLOSED)]
+        dead = self._dead
         for token in dead:
             del self._sessions[token]
-        return len(dead)
+        count = len(dead)
+        dead.clear()
+        return count

@@ -10,6 +10,7 @@ oracle.  (No pytest-asyncio here: each test drives its own loop via
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -17,7 +18,15 @@ from repro.errors import GTMError, TokenInUse, WireFormatError
 from repro.driver.asyncio_driver import AsyncioDriver
 from repro.service import GTMService, ServiceConfig
 from repro.service.client import ConnectionLost, ServiceClient
-from repro.service.load import LoadConfig, run_load
+from repro.obs.registry import Histogram
+from repro.service.load import (
+    LATENCY_MS_BUCKETS,
+    LoadConfig,
+    latency_summary,
+    main as load_main,
+    run_curve,
+    run_load,
+)
 from repro.service.server import (
     MemoryWriter,
     ServiceServer,
@@ -301,3 +310,74 @@ class TestInProcessLoad:
             await client.bye()
             await server.shutdown()
         run(check())
+
+    def test_report_counts_latency_overflow(self):
+        cfg = LoadConfig(sessions=8, transactions=2, ops_per_txn=2,
+                         objects=8, drop_prob=0.0, seed=7)
+        report = run(run_load(cfg))
+        assert report["latency_ms"]["overflow"] == 0
+
+
+class TestLatencyHistogram:
+    @staticmethod
+    def histogram(samples):
+        latency = Histogram("load_commit_latency_ms", LATENCY_MS_BUCKETS)
+        for sample in samples:
+            latency.observe(sample)
+        return latency
+
+    def test_tail_beyond_five_seconds_is_resolved(self):
+        """Commits slower than 5 s land in real buckets, so p95 and p99
+        are estimates below the maximum, not the maximum itself."""
+        latency = self.histogram(6_000.0 * 1.03 ** i for i in range(100))
+        summary = latency_summary(latency)
+        assert summary["overflow"] == 0
+        assert summary["p95"] < latency.max
+        assert summary["p99"] < latency.max
+        assert 5_000.0 < summary["p50"] < summary["p95"]
+
+    def test_buckets_reach_bto_scale(self):
+        assert LATENCY_MS_BUCKETS[-1] >= 600_000.0
+        assert list(LATENCY_MS_BUCKETS) == sorted(set(LATENCY_MS_BUCKETS))
+
+    def test_overflow_is_counted(self):
+        latency = self.histogram([10.0, 900_000.0])
+        summary = latency_summary(latency)
+        assert summary["overflow"] == 1
+        assert summary["p99"] == latency.max
+
+
+class TestSessionsCurve:
+    def test_curve_reports_spread_per_point(self):
+        cfg = LoadConfig(sessions=1, transactions=2, ops_per_txn=2,
+                         objects=8, drop_prob=0.0, seed=7)
+        curve = run(run_curve(cfg, [4, 6], repeats=3))
+        assert curve["config"]["sessions"] == [4, 6]
+        assert curve["config"]["repeats"] == 3
+        assert curve["cpu_count"]
+        assert [point["sessions"] for point in curve["points"]] == [4, 6]
+        for point in curve["points"]:
+            assert len(point["runs"]) == 3
+            assert all(run["sessions"] == point["sessions"]
+                       for run in point["runs"])
+            spread = point["txn_per_s"]
+            assert spread["q1"] <= spread["median"] <= spread["q3"]
+            assert point["commit_p99_ms"]["median"] > 0
+
+    def test_cli_takes_a_sessions_list(self, tmp_path, capsys):
+        out = tmp_path / "curve.json"
+        assert load_main(["--sessions", "3,5", "--transactions", "2",
+                          "--ops-per-txn", "2", "--objects", "8",
+                          "--drop-prob", "0", "--seed", "7",
+                          "--out", str(out)]) == 0
+        curve = json.loads(out.read_text())
+        assert [point["sessions"] for point in curve["points"]] == [3, 5]
+        assert "sessions=5 " in capsys.readouterr().out
+
+    def test_cli_rejects_a_malformed_list(self, capsys):
+        with pytest.raises(SystemExit):
+            load_main(["--sessions", "128,,512"])
+        with pytest.raises(SystemExit):
+            load_main(["--sessions", "0"])
+        with pytest.raises(SystemExit):
+            load_main(["--repeats", "0"])

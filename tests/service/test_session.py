@@ -288,6 +288,63 @@ class TestStoreStateMachine:
         assert exc_info.value.aborted == ("t9",)
 
 
+class _NoIteration(dict):
+    """A session directory that fails the test if anything scans it."""
+
+    def __iter__(self):
+        raise AssertionError("purge iterated the session directory")
+
+    def items(self):
+        raise AssertionError("purge iterated the session directory")
+
+    def values(self):
+        raise AssertionError("purge iterated the session directory")
+
+    def keys(self):
+        raise AssertionError("purge iterated the session directory")
+
+
+class TestPurgeQueue:
+    """``purge_finished`` pops the tokens queued by expire/close."""
+
+    @staticmethod
+    def store_with(count):
+        from repro.service.session import SessionStore
+        store = SessionStore()
+        sessions = [store.create() for _ in range(count)]
+        return store, sessions
+
+    def test_evicts_exactly_the_dead_tokens(self):
+        store, sessions = self.store_with(6)
+        store.close(sessions[1])
+        store.detach(sessions[3])
+        store.expire(sessions[3], ())
+        store.detach(sessions[4])  # detached is not dead
+        assert store.purge_finished() == 2
+        assert store.get(sessions[1].token) is None
+        assert store.get(sessions[3].token) is None
+        survivors = [sessions[i] for i in (0, 2, 4, 5)]
+        assert list(store.values()) == survivors
+        assert store.purge_finished() == 0
+        assert list(store.values()) == survivors
+
+    def test_a_session_is_queued_once(self):
+        store, sessions = self.store_with(2)
+        store.close(sessions[0])
+        store.close(sessions[0])
+        assert store.purge_finished() == 1
+        assert len(store) == 1
+
+    def test_purge_does_not_scan_the_directory(self):
+        store, sessions = self.store_with(10_000)
+        store.close(sessions[5_000])
+        store._sessions = _NoIteration(store._sessions)
+        assert store.purge_finished() == 1
+        assert len(store) == 9_999
+        assert store.get(sessions[5_000].token) is None
+        assert store.purge_finished() == 0
+
+
 class TestRetirementKeepsMemoryFlat:
     """Satellite: ``retire_finished`` must bound *both* registries.
 

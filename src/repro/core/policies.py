@@ -62,8 +62,10 @@ class DeadlockPolicy(Protocol):
                      blockers: Sequence[str]) -> DeadlockResolution | None:
         """Replace ``waiter``'s recorded blockers and re-check (the
         re-police path); equivalent to ``on_stop_waiting`` followed by
-        ``on_wait``, but a detection policy keeps the wait-for graph's
-        proven-clean nodes when the blocker set is unchanged."""
+        ``on_wait``, except that a detection policy returns None
+        without a search when the blocker set is unchanged (every edge
+        was searched when it was inserted and every cycle found lost a
+        victim) and keeps the wait-for graph's proven-clean nodes."""
         ...
 
     def on_stop_waiting(self, waiter: str) -> None:

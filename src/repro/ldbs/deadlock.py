@@ -65,13 +65,13 @@ class WaitForGraph:
             current |= targets
         self._link(waiter, targets)
 
-    def replace_waits(self, waiter: str, holders: Iterable[str]) -> None:
+    def replace_waits(self, waiter: str, holders: Iterable[str]) -> bool:
         """Set ``waiter``'s outgoing edges to exactly ``holders`` (minus
-        any self-loop)."""
+        any self-loop); returns whether the edge set changed."""
         targets = {h for h in holders if h != waiter}
         current = self._edges.get(waiter, set())
         if current == targets:
-            return
+            return False
         self._unlink(waiter, current - targets)
         if targets:
             self._edges[waiter] = targets
@@ -79,6 +79,7 @@ class WaitForGraph:
             del self._edges[waiter]
         self._sorted.pop(waiter, None)
         self._link(waiter, targets - current)
+        return True
 
     def clear_waits(self, waiter: str) -> None:
         """Remove all outgoing edges of ``waiter`` (it stopped waiting)."""
@@ -221,10 +222,14 @@ class DeadlockDetector:
                      holders: Iterable[str]) -> DeadlockResolution | None:
         """Replace ``waiter``'s edges and re-check — the re-police path.
 
-        When one unlock forces a sweep over many untouched waiters, each
-        is still in the graph's clean set and its search returns at once.
+        An unchanged edge set is not searched: every edge was searched
+        from its waiter when it was inserted, and every cycle found
+        then lost a victim, so the graph holds no cycle to find.  A
+        changed set is searched; a waiter the change left in the clean
+        set returns at once.
         """
-        self.graph.replace_waits(waiter, holders)
+        if not self.graph.replace_waits(waiter, holders):
+            return None
         return self._detect(waiter)
 
     def _detect(self, waiter: str) -> DeadlockResolution | None:

@@ -4,13 +4,16 @@ The client owns one transport and runs one background reader task that
 routes inbound frames:
 
 - a frame whose ``re`` matches an outstanding request resolves that
-  request's reply queue (a *queue*, not a future, because a queued op
-  produces two frames under one id: ``queued`` now, ``granted`` when
-  the admission layer regrants);
+  request's reply mailbox (a *mailbox*, not a future, because a queued
+  op produces two frames under one id: ``queued`` now, ``granted``
+  when the admission layer regrants);
 - ``committed``/``aborted`` pushes for a known transaction land in
-  that transaction's event queue (how a ``commit-pending`` resolves,
+  that transaction's event mailbox (how a ``commit-pending`` resolves,
   and how an op waiting on a grant learns its transaction was wounded);
 - everything else (``shutdown``, unsolicited errors) goes to ``inbox``.
+
+Every slot is a :class:`~repro.service.mailbox.Mailbox`: one consumer,
+woken through one future.
 
 ``error`` frames resolve to the exception class they encode
 (:func:`~repro.service.protocol.frame_to_exception`), so a server-side
@@ -25,6 +28,7 @@ import itertools
 from typing import Any
 
 from repro.errors import GTMError
+from repro.service.mailbox import Mailbox
 from repro.service.protocol import (
     decode_frame,
     encode_frame,
@@ -39,17 +43,17 @@ class ConnectionLost(GTMError):
 class ServiceClient:
     """One connection's view of the service."""
 
-    def __init__(self, reader: asyncio.StreamReader, writer: Any) -> None:
+    def __init__(self, reader: Any, writer: Any) -> None:
         self.reader = reader
         self.writer = writer
         self.token: str | None = None
         #: the last ``welcome`` frame (awake verdicts, outage outcomes).
         self.last_welcome: dict[str, Any] | None = None
-        self.inbox: asyncio.Queue = asyncio.Queue()
+        self.inbox = Mailbox()
         self.shutdown_seen = False
         self._sequence = itertools.count(1)
-        self._replies: dict[Any, asyncio.Queue] = {}
-        self._txn_events: dict[str, asyncio.Queue] = {}
+        self._replies: dict[Any, Mailbox] = {}
+        self._txn_events: dict[str, Mailbox] = {}
         self._lost = False
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
@@ -72,10 +76,10 @@ class ServiceClient:
             self._lost = True
             poison = {"type": "error", "code": "gtm/error",
                       "message": "connection lost"}
-            for queue in self._replies.values():
-                queue.put_nowait(poison)
-            for queue in self._txn_events.values():
-                queue.put_nowait(poison)
+            for mailbox in self._replies.values():
+                mailbox.put_nowait(poison)
+            for mailbox in self._txn_events.values():
+                mailbox.put_nowait(poison)
             self.inbox.put_nowait(poison)
 
     def _route(self, frame: dict[str, Any]) -> None:
@@ -115,11 +119,10 @@ class ServiceClient:
         """Send one request and await its direct reply."""
         fid = next(self._sequence)
         frame = {**frame, "id": fid}
-        queue: asyncio.Queue = asyncio.Queue()
-        self._replies[fid] = queue
+        replies = self._replies[fid] = Mailbox()
         try:
             await self._send(frame)
-            return self._check_reply(await queue.get())
+            return self._check_reply(await replies.get())
         finally:
             self._replies.pop(fid, None)
 
@@ -132,18 +135,17 @@ class ServiceClient:
         event stream (an abort push while parked must not hang us)."""
         fid = next(self._sequence)
         frame = {**frame, "id": fid}
-        reply_queue: asyncio.Queue = asyncio.Queue()
-        self._replies[fid] = reply_queue
-        txn_queue = self._txn_events.get(txn_id)
+        replies = self._replies[fid] = Mailbox()
+        events = self._txn_events.get(txn_id)
         try:
             await self._send(frame)
-            reply = self._check_reply(await reply_queue.get())
+            reply = self._check_reply(await replies.get())
             if reply.get("type") != pending_type:
                 return reply
-            if txn_queue is None:
-                return self._check_reply(await reply_queue.get())
-            get_reply = asyncio.ensure_future(reply_queue.get())
-            get_event = asyncio.ensure_future(txn_queue.get())
+            if events is None:
+                return self._check_reply(await replies.get())
+            get_reply = asyncio.ensure_future(replies.get())
+            get_event = asyncio.ensure_future(events.get())
             done, pending = await asyncio.wait(
                 {get_reply, get_event},
                 return_when=asyncio.FIRST_COMPLETED)
@@ -151,7 +153,7 @@ class ServiceClient:
                 task.cancel()
             if get_reply in done and get_event in done:
                 # Both raced in: keep the reply, re-queue the event.
-                txn_queue.put_nowait(get_event.result())
+                events.put_nowait(get_event.result())
             winner = (get_reply if get_reply in done
                       else get_event).result()
             return self._check_reply(winner)
@@ -172,7 +174,8 @@ class ServiceClient:
     def adopt(self, txn_id: str) -> None:
         """Start routing pushes for a transaction begun on an earlier
         connection (reconnect with surviving work)."""
-        self._txn_events.setdefault(txn_id, asyncio.Queue())
+        if txn_id not in self._txn_events:
+            self._txn_events[txn_id] = Mailbox()
 
     def release(self, txn_id: str) -> None:
         self._txn_events.pop(txn_id, None)

@@ -75,10 +75,15 @@ OP_NAMES: dict[str, OperationClass] = {
 # ---------------------------------------------------------------------------
 
 
+#: The codec's JSON objects, built once: ``json.dumps`` with
+#: non-default separators builds a fresh encoder on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_DECODER = json.JSONDecoder()
+
+
 def encode_frame(frame: dict[str, Any]) -> bytes:
     """Serialize one frame to its wire form (compact JSON + newline)."""
-    data = json.dumps(frame, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+    data = _ENCODER.encode(frame).encode("utf-8")
     if len(data) + 1 > MAX_FRAME_BYTES:
         raise WireFormatError(
             f"frame of {len(data)} bytes exceeds the "
@@ -87,13 +92,26 @@ def encode_frame(frame: dict[str, Any]) -> bytes:
 
 
 def decode_frame(line: bytes | str) -> dict[str, Any]:
-    """Parse one wire line into a frame dict, validating the envelope."""
-    if isinstance(line, bytes) and len(line) > MAX_FRAME_BYTES:
-        raise WireFormatError(
-            f"frame of {len(line)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit")
+    """Parse one wire line into a frame dict, validating the envelope.
+
+    A bytes line that opens with ``{`` and no NUL is one that
+    ``json.loads`` would decode as UTF-8 (its encoding sniffing needs a
+    BOM or a NUL in the first bytes to choose anything else), so it is
+    decoded as such directly; every other input takes ``json.loads``.
+    """
+    if isinstance(line, bytes):
+        if len(line) > MAX_FRAME_BYTES:
+            raise WireFormatError(
+                f"frame of {len(line)} bytes exceeds the "
+                f"{MAX_FRAME_BYTES}-byte limit")
+        plain = line[:1] == b"{" and line[1:2] != b"\x00"
+    else:
+        plain = False
     try:
-        frame = json.loads(line)
+        if plain:
+            frame = _DECODER.decode(line.decode("utf-8", "surrogatepass"))
+        else:
+            frame = json.loads(line)
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireFormatError(f"frame is not valid JSON: {exc}") from None
     if not isinstance(frame, dict):

@@ -3,7 +3,7 @@
 import networkx as nx
 from hypothesis import given, strategies as st
 
-from repro.ldbs.deadlock import WaitForGraph
+from repro.ldbs.deadlock import DeadlockDetector, WaitForGraph
 
 nodes = st.integers(0, 7).map(lambda n: f"T{n}")
 edges = st.lists(st.tuples(nodes, nodes), min_size=0, max_size=25)
@@ -167,3 +167,50 @@ class TestCleanSet:
         assert graph.find_cycle(start=start) == expected
         assert graph.find_cycle() == reference_cycle(model, None)
         self.check_invariants(graph, model)
+
+
+detector_ops = st.lists(st.one_of(
+    st.tuples(st.just("wait"), nodes, holder_lists),
+    st.tuples(st.just("refresh"), nodes, holder_lists),
+    st.tuples(st.just("stop"), nodes),
+    st.tuples(st.just("finish"), nodes),
+), max_size=60)
+
+
+class TestRefreshSkip:
+    """``DeadlockDetector.refresh_wait`` skips the search when the edge
+    set is unchanged; with every insertion searched and every victim
+    removed, no cycle is left for that search to find."""
+
+    @staticmethod
+    def resolve(detector, waiter, resolution):
+        # the admission layer's loop: remove each victim, re-search
+        # from the waiter until it rests or is itself the victim.
+        while resolution is not None:
+            detector.on_finished(resolution.victim)
+            if resolution.victim == waiter:
+                return
+            resolution = detector.on_wait(waiter, ())
+
+    @given(detector_ops)
+    def test_unchanged_refresh_never_finds_a_cycle(self, ops):
+        detector = DeadlockDetector()
+        graph = detector.graph
+        for op in ops:
+            kind, node = op[0], op[1]
+            if kind == "wait":
+                self.resolve(detector, node, detector.on_wait(node, op[2]))
+            elif kind == "refresh":
+                before = graph.waits_of(node)
+                resolution = detector.refresh_wait(node, op[2])
+                if graph.waits_of(node) == before:
+                    assert resolution is None
+                    assert reference_cycle(graph._edges, node) is None
+                self.resolve(detector, node, resolution)
+            elif kind == "stop":
+                detector.on_stop_waiting(node)
+            else:
+                detector.on_finished(node)
+            reference = nx.DiGraph()
+            reference.add_edges_from(graph.edges())
+            assert nx.is_directed_acyclic_graph(reference)

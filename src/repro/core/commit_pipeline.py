@@ -336,6 +336,11 @@ class CommitPipeline:
             _SCRATCH.release(involved)
         if not all_staged:
             return None
+        if not txn.involved and txn.is_in(_TS.ACTIVE):
+            # a transaction with no operations stages nothing — there
+            # is no local commit to make the Active -> Committing
+            # transition for it.
+            txn.transition(_TS.COMMITTING)
         return self.finish_commit(txn, self._clock())
 
     def try_finish_commit(self, txn: GTMTransaction) -> SSTReport | None:

@@ -426,9 +426,9 @@ class FederatedTransactionManager:
         if not all_staged:
             return None
         if not txn.involved and txn.is_in(_TS.ACTIVE):
-            # a pure lock-free reader commits without ever staging
-            # anything — there is no local commit to make the Active ->
-            # Committing transition for it.
+            # a transaction with no operations, or a pure lock-free
+            # reader, stages nothing — there is no local commit to make
+            # the Active -> Committing transition for it.
             txn.transition(_TS.COMMITTING)
         return self._finish_commit(txn, self.now())
 

@@ -171,6 +171,26 @@ class TestRequestCommitDriver:
         gtm.request_commit("A")
         assert gtm.object("X").permanent_value() == 99
 
+    def test_transaction_without_operations_commits(self):
+        """Regression (program/empty-commit): with no involved object no
+        local commit moved the transaction to Committing, and the global
+        commit raised ``'A' is active, not committing``."""
+        gtm = make_gtm(100)
+        gtm.begin("A")
+        assert gtm.request_commit("A") is None
+        assert gtm.transaction("A").state is _S.COMMITTED
+        assert gtm.history.commit_order == ["A"]
+        assert gtm.object("X").permanent_value() == 100
+        gtm.check_invariants()
+
+    def test_transaction_without_operations_commits_after_sleep(self):
+        gtm = make_gtm(100)
+        gtm.begin("A")
+        gtm.sleep("A")
+        assert gtm.awake("A")
+        gtm.request_commit("A")
+        assert gtm.transaction("A").state is _S.COMMITTED
+
     def test_multi_object_roundtrip(self):
         gtm = make_gtm(100)
         gtm.create_object("Y", value=50)

@@ -61,6 +61,21 @@ def test_single_shard_commit_updates_permanent_state():
     gtm.check_invariants()
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_transaction_without_operations_commits(shards):
+    """The federation commits an operation-less transaction as the
+    monolith does (program/empty-commit): nothing staged, nothing
+    externalized, the transaction committed and logged."""
+    gtm = _federated(shards=shards)
+    gtm.create_object("x", value=10)
+    gtm.begin("t1")
+    gtm.request_commit("t1")
+    assert gtm.transaction("t1").state.value == "committed"
+    assert gtm.history.commit_order == ["t1"]
+    assert gtm.object("x").permanent == {"value": 10}
+    gtm.check_invariants()
+
+
 def test_cross_shard_commit_lands_in_every_touched_log():
     shards = 4
     gtm = _federated(shards=shards)

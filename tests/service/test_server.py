@@ -99,6 +99,31 @@ class TestMemoryTransport:
             assert service.gtm.object("x").permanent_value() == 2
         run(check())
 
+    def test_transaction_without_operations_commits(self):
+        """Regression (program/empty-commit): committing a transaction
+        with no ops answered ``gtm/protocol`` — also when the drop came
+        before its first op and it survived the ⟨awake⟩."""
+        async def check():
+            service, server = make_server()
+            service.create_object("x", value=1)
+            client = ServiceClient(*server.connect_memory())
+            await client.hello()
+            txn = await client.begin()
+            assert (await client.commit(txn))["type"] == "committed"
+
+            txn = await client.begin()
+            client.drop()
+            await settle()
+            resumed = ServiceClient(*server.connect_memory())
+            welcome = await resumed.hello(client.token)
+            assert welcome["awake"] == [{"txn": txn, "survived": True}]
+            resumed.adopt(txn)
+            assert (await resumed.commit(txn))["type"] == "committed"
+            await resumed.bye()
+            await server.shutdown()
+            assert len(service.gtm.history.commit_order) == 2
+        run(check())
+
     def test_wire_errors_cross_as_taxonomy(self):
         async def check():
             service, server = make_server()
